@@ -545,4 +545,16 @@ mod tests {
         );
         assert!(sharded.report.messages > 0, "traffic must cross the cut");
     }
+
+    #[test]
+    fn default_config_e12_reports_its_critical_link() {
+        // Bridge lookahead bounds the hierarchy's horizons under the
+        // default config, and the report must say so.
+        let g = Arc::new(sharded_e12_graph(256, 2, 4, 40));
+        let run = run_sharded_e12(&g, 2, SimDuration::us(200));
+        let cl = run.critical_links();
+        assert!(cl.stalled_windows > 0, "{}", cl.render());
+        let bounding = cl.bounding().expect("a bridge bound some horizon");
+        assert!(bounding.name.starts_with("bridge"), "{}", cl.render());
+    }
 }

@@ -194,16 +194,23 @@ impl Memory {
     }
 
     /// Nonzero words as `[index, value]` pairs — memories are mostly zeros,
-    /// so snapshots stay proportional to live data, not capacity.
+    /// so snapshots stay proportional to live data, not capacity. Only
+    /// pages with a nonzero write epoch are visited: every write path bumps
+    /// its page's epoch and restore rejects data in a never-written page,
+    /// so a page at epoch 0 is all zeros.
     fn sparse_data_json(&self) -> Json {
-        Json::Arr(
-            self.data
-                .iter()
-                .enumerate()
-                .filter(|&(_, &w)| w != 0)
-                .map(|(i, &w)| Json::Arr(vec![ju64(i as u64), ju64(w)]))
-                .collect(),
-        )
+        let mut words = Vec::new();
+        for (p, &epoch) in self.page_epochs.iter().enumerate() {
+            if epoch == 0 {
+                continue;
+            }
+            let lo = p * PAGE_WORDS;
+            let page = &self.data[lo..(lo + PAGE_WORDS).min(self.data.len())];
+            for (i, &w) in page.iter().enumerate().filter(|&(_, &w)| w != 0) {
+                words.push(Json::Arr(vec![ju64((lo + i) as u64), ju64(w)]));
+            }
+        }
+        Json::Arr(words)
     }
 
     fn restore_sparse_data(&mut self, j: &Json) -> SimResult<()> {
@@ -218,13 +225,25 @@ impl Memory {
             let (i, w) = pair
                 .and_then(|p| Some((ju64_of(&p[0])?, ju64_of(&p[1])?)))
                 .ok_or_else(|| snap::err("malformed memory word entry"))?;
-            let slot = self
-                .data
-                .get_mut(i as usize)
-                .ok_or_else(|| snap::err(format!("memory word {i} outside capacity")))?;
-            *slot = w;
+            let i = i as usize;
+            self.check_written(i)?;
+            self.data[i] = w;
         }
         Ok(())
+    }
+
+    /// A document word must lie inside capacity and in a page whose epoch
+    /// marks it written: capture skips pages at epoch 0.
+    fn check_written(&self, i: usize) -> SimResult<()> {
+        if i >= self.data.len() {
+            Err(snap::err(format!("memory word {i} outside capacity")))
+        } else if self.page_epochs[i / PAGE_WORDS] == 0 {
+            Err(snap::err(format!(
+                "memory word {i} lies in a page with write epoch 0"
+            )))
+        } else {
+            Ok(())
+        }
     }
 
     /// Nonzero page epochs as `[page, epoch]` pairs.
@@ -333,9 +352,9 @@ impl Component for Memory {
 
     fn restore(&mut self, state: &Json) -> SimResult<()> {
         // A cross-simulator restore trusts nothing about the live image:
-        // force-parse every word, then adopt the document's epochs.
-        self.restore_sparse_data(snap::field(state, "data")?)?;
+        // adopt the document's epochs, then force-parse every word.
         self.page_epochs = self.doc_page_epochs(state)?;
+        self.restore_sparse_data(snap::field(state, "data")?)?;
         self.restore_meta(state)
     }
 
@@ -351,6 +370,7 @@ impl Component for Memory {
             .zip(&self.page_epochs)
             .map(|(d, l)| d != l)
             .collect();
+        self.page_epochs = doc_epochs;
         if dirty.iter().any(|&d| d) {
             for (p, _) in dirty.iter().enumerate().filter(|&(_, &d)| d) {
                 let lo = p * PAGE_WORDS;
@@ -363,15 +383,12 @@ impl Component for Memory {
                     .and_then(|p| Some((ju64_of(&p[0])?, ju64_of(&p[1])?)))
                     .ok_or_else(|| snap::err("malformed memory word entry"))?;
                 let i = i as usize;
-                if i >= self.data.len() {
-                    return Err(snap::err(format!("memory word {i} outside capacity")));
-                }
+                self.check_written(i)?;
                 if dirty[i / PAGE_WORDS] {
                     self.data[i] = w;
                 }
             }
         }
-        self.page_epochs = doc_epochs;
         self.restore_meta(state)
     }
 
@@ -678,5 +695,83 @@ mod tests {
         assert_eq!(m.stats.direct_reads, 1);
         assert_eq!(m.stats.direct_words, 32);
         assert_eq!(m.stats.reads, 0);
+    }
+
+    /// Reference capture: every word of the image, scanned.
+    fn full_scan(m: &Memory) -> String {
+        let words = m
+            .data
+            .iter()
+            .enumerate()
+            .filter(|&(_, &w)| w != 0)
+            .map(|(i, &w)| Json::Arr(vec![ju64(i as u64), ju64(w)]))
+            .collect();
+        Json::Arr(words).to_string()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(48))]
+
+        /// Random `poke`/`load`/bus-write sequences, then restore (cross
+        /// and live) and recapture: the captured image always equals a
+        /// full scan, byte for byte.
+        #[test]
+        fn capture_equals_a_full_scan_through_writes_and_restores(
+            ops in proptest::collection::vec((0u8..3, 0u64..700, 0u64..3), 0..40),
+            more in proptest::collection::vec((0u64..700, 1u64..4), 0..8),
+        ) {
+            let cfg = MemoryConfig {
+                base: 0x40,
+                size_words: 700,
+                ..MemoryConfig::default()
+            };
+            let mut m = Memory::new(cfg.clone());
+            for &(kind, i, v) in &ops {
+                let addr = cfg.base + i;
+                match kind {
+                    0 => m.poke(addr, v),
+                    1 => m.load(addr, &[v, 0, v * 7][..(700 - i as usize).min(3)]),
+                    _ => ok(m.write(addr, v)),
+                }
+            }
+            let doc = ok(m.snapshot());
+            proptest::prop_assert_eq!(some(doc.get("data")).to_string(), full_scan(&m));
+
+            // Cross-simulator restore into a preloaded memory.
+            let mut fresh = Memory::new(cfg.clone());
+            fresh.load(cfg.base + 100, &[5; 130]);
+            ok(fresh.restore(&doc));
+            proptest::prop_assert_eq!(ok(fresh.snapshot()).to_string(), doc.to_string());
+            proptest::prop_assert_eq!(full_scan(&fresh), full_scan(&m));
+
+            // Live restore after further writes rewinds them.
+            for &(i, v) in &more {
+                m.poke(cfg.base + i, v);
+            }
+            ok(m.restore_live(&doc));
+            proptest::prop_assert_eq!(ok(m.snapshot()).to_string(), doc.to_string());
+            proptest::prop_assert_eq!(some(doc.get("data")).to_string(), full_scan(&m));
+        }
+    }
+
+    #[test]
+    fn restore_rejects_data_in_a_never_written_page() {
+        let mut m = Memory::new(MemoryConfig {
+            size_words: 256,
+            ..MemoryConfig::default()
+        });
+        m.poke(3, 9);
+        let mut doc = ok(m.snapshot());
+        if let Json::Obj(fields) = &mut doc {
+            for (_, v) in fields.iter_mut().filter(|(k, _)| k == "page_epochs") {
+                *v = Json::Arr(Vec::new());
+            }
+        }
+        let err = Memory::new(m.cfg.clone())
+            .restore(&doc)
+            .expect_err("data without a write epoch");
+        assert!(err.message.contains("write epoch 0"), "{err:?}");
+        let err = m.restore_live(&doc).expect_err("live restore checks too");
+        assert!(err.message.contains("write epoch 0"), "{err:?}");
     }
 }

@@ -572,6 +572,7 @@ mod tests {
                     start_fs: 0,
                     horizon_fs: 2_000_000,
                     bound: drcf_kernel::prelude::HorizonBound::End,
+                    events: 0,
                     sent: 0,
                     received: 0,
                     last_inject: None,

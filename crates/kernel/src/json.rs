@@ -372,19 +372,26 @@ fn write_num<W: std::fmt::Write>(out: &mut W, v: f64) -> std::fmt::Result {
 
 fn write_str<W: std::fmt::Write>(out: &mut W, s: &str) -> std::fmt::Result {
     out.write_char('"')?;
-    for c in s.chars() {
-        match c {
-            '"' => out.write_str("\\\"")?,
-            '\\' => out.write_str("\\\\")?,
-            '\n' => out.write_str("\\n")?,
-            '\r' => out.write_str("\\r")?,
-            '\t' => out.write_str("\\t")?,
-            c if (c as u32) < 0x20 => {
-                write!(out, "\\u{:04x}", c as u32)?;
-            }
-            c => out.write_char(c)?,
+    // Runs of characters that need no escape go out in one call each; a
+    // string without escapes is a single `write_str`.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
         }
+        // Escaped characters are ASCII, so `i` is a char boundary.
+        out.write_str(&s[run..i])?;
+        match b {
+            b'"' => out.write_str("\\\"")?,
+            b'\\' => out.write_str("\\\\")?,
+            b'\n' => out.write_str("\\n")?,
+            b'\r' => out.write_str("\\r")?,
+            b'\t' => out.write_str("\\t")?,
+            b => write!(out, "\\u{b:04x}")?,
+        }
+        run = i + 1;
     }
+    out.write_str(&s[run..])?;
     out.write_char('"')
 }
 
@@ -589,6 +596,55 @@ impl Parser<'_> {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn escape_free_runs_render_in_one_call_with_unchanged_bytes() {
+        fn per_char(s: &str) -> String {
+            let mut out = String::from('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+            out
+        }
+        /// Sink counting `write_str` calls.
+        struct Calls(String, usize);
+        impl std::fmt::Write for Calls {
+            fn write_str(&mut self, s: &str) -> std::fmt::Result {
+                self.0.push_str(s);
+                self.1 += 1;
+                Ok(())
+            }
+        }
+        let cases = [
+            "",
+            "plain",
+            "quote\"back\\slash",
+            "tab\tnl\ncr\r",
+            "\u{1}ctl\u{1f}end",
+            "h\u{e9}llo \u{2713} \u{7f}",
+            "\"\"",
+        ];
+        for s in cases {
+            let mut sink = Calls(String::new(), 0);
+            write_str(&mut sink, s).unwrap();
+            assert_eq!(sink.0, per_char(s));
+            let mut h = Fnv1a::new();
+            h.update(per_char(s).as_bytes());
+            assert_eq!(Json::from(s).fnv1a64(), h.finish());
+        }
+        let mut sink = Calls(String::new(), 0);
+        write_str(&mut sink, "no escapes \u{2713}").unwrap();
+        assert_eq!(sink.1, 3, "open quote, the whole string, close quote");
+    }
 
     #[test]
     fn ju64_round_trips_large_values() {

@@ -1404,6 +1404,19 @@ impl Simulator {
         self.st.metrics
     }
 
+    /// Time of the earliest pending event: `now` while delta work (or the
+    /// initial `Start` deliveries) is outstanding, else the earliest timed
+    /// entry or armed clock edge; `None` when nothing is scheduled. The
+    /// sharded executor derives each LP's lower bound on timestamp from it.
+    /// `&mut` for the same reason as [`Simulator::snapshot`]: peeking the
+    /// timing wheel may rotate it forward.
+    pub fn next_event_time(&mut self) -> Option<SimTime> {
+        if !self.started || !self.st.next_delta.is_empty() || !self.st.update_requests.is_empty() {
+            return Some(self.st.now);
+        }
+        self.st.next_pending_time()
+    }
+
     /// Timed events currently pending (general heap plus armed per-clock
     /// next-edge slots).
     pub fn pending_timed_events(&self) -> usize {

@@ -11,39 +11,51 @@
 //!
 //! ## The window protocol
 //!
-//! The coordinator repeatedly computes, for every LP *i*, a horizon
+//! Each round every LP *i* runs `run_until` its horizon. At each barrier
+//! every LP reports its next pending event, and the coordinator relaxes
+//! each LP's lower bound on timestamp (LBTS), the earliest time it could
+//! still dispatch anything, to a fixed point:
 //!
 //! ```text
-//! horizon(i) = min(end,
-//!                  committed(i) + window,
-//!                  min over incoming links l: committed(src(l)) + latency(l))
+//! A(i)       = min(E(i), min over incoming links l: A(src(l)) + latency(l))
+//! horizon(i) = min(end, committed(i) + window (only when one is set),
+//!                  min over incoming links l: close(A(src(l))))
 //! ```
 //!
-//! and has every LP `run_until` its horizon. Messages sent across a link
-//! during a window are collected in per-link egress outboxes, stamped
-//! `(deliver_time, link, seq)` by the coordinator in a deterministic order
-//! (LP index, then send order), globally sorted by that stamp, and injected
-//! into their destination LPs before the next window. Because a message
-//! sent at time *t* on a link of latency *L* delivers at `t + L`, and the
-//! destination's horizon never exceeds `committed(src) + L`, every message
-//! arrives before the destination simulates past its delivery time —
-//! conservative safety with zero rollbacks.
+//! `E(i)` is the LP's next event or earliest queued delivery, never below
+//! `committed(i)`, so idle LPs stop bounding their neighbours
+//! (Chandy–Misra–Bryant; Fujimoto, *Parallel and Distributed Simulation
+//! Systems*, 2000). `close(t)` is the end of `t`'s slot on the *injection
+//! grid* of slots `((k-1)W, kW]`, `W` the smallest link latency and slot 1
+//! also holding time zero. The coordinator stamps messages sent across a
+//! link `(deliver_time, link, seq)` in a deterministic order (LP index,
+//! then send order) and each is posted into its destination when that
+//! LP's clock reaches the close of the slot it was sent in, after every
+//! event up to that instant. A send that follows a post at its own instant
+//! belongs to the next slot; as a source has dispatched everything up to
+//! its committed time, `close` of that instant is the next slot's. This is
+//! where a lockstep schedule of one round per slot posts, and since the
+//! post point fixes the kernel's dispatch tiebreak, every schedule gives
+//! that schedule's results; the horizons keep each post point ahead of
+//! its LP, so there are no rollbacks.
 //!
 //! ## Determinism
 //!
 //! The merge order, the horizon schedule, and the per-LP kernels are all
 //! pure functions of the topology — none depends on how LPs are grouped
-//! onto worker threads. Running with 1 shard (the single-threaded oracle,
-//! executed inline on the calling thread like `set_legacy_timed_queue`'s
-//! reference heap) or with N worker threads therefore produces bit-identical
+//! onto threads. The calling thread builds and runs shard 0 and `shards - 1`
+//! workers run the rest, so 1 shard (the single-threaded oracle) is the
+//! same code with zero workers, and it and N shards produce bit-identical
 //! results: same per-LP `(time, seq)` dispatch orders, same
 //! [`KernelMetrics`], same [`Simulator::state_hash`] at every window. The
 //! per-slice hashes are recorded in the [`ShardRunReport`] so a
 //! parallel-vs-serial divergence (a plumbing bug) pinpoints the first bad
-//! slice instead of requiring a full-state diff.
+//! slice instead of requiring a full-state diff. An explicit window changes
+//! only the round count (and so the slice hashes), never the final state.
+//! When a round fails, the lowest-index failing LP's error is returned.
 //!
 //! Components are not `Send` (they may hold `Rc`s into model state), so LP
-//! simulators are *built on the worker thread that owns them* from `Send`
+//! simulators are *built on the thread that owns them* from `Send`
 //! builder closures; only plain data — link messages, horizons, hashes,
 //! metrics — ever crosses threads.
 
@@ -350,13 +362,15 @@ impl ShardTopology {
 /// How to execute a [`ShardTopology`].
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
-    /// Worker threads. `1` runs every LP inline on the calling thread —
-    /// the single-threaded oracle the parallel modes are checked against.
+    /// Shards (threads, the calling one included). `1` runs every LP on
+    /// the calling thread — the single-threaded oracle the parallel modes
+    /// are checked against.
     pub shards: usize,
     /// End horizon: every LP runs to exactly this time.
     pub end: SimTime,
-    /// Maximum window an LP advances per round. Defaults to the smallest
-    /// link latency; also bounds egress outbox growth between barriers.
+    /// Optional cap on how far an LP advances per round, on top of the
+    /// LBTS horizon; also bounds egress outbox growth between barriers.
+    /// `None` (the default) lets the LBTS horizons alone pace the run.
     pub window: Option<SimDuration>,
     /// Record a [`Simulator::state_hash`] for every LP at every window.
     pub hash_slices: bool,
@@ -382,7 +396,7 @@ impl ShardConfig {
         }
     }
 
-    /// Set the worker-thread count.
+    /// Set the shard (thread) count.
     pub fn shards(mut self, n: usize) -> ShardConfig {
         self.shards = n.max(1);
         self
@@ -412,15 +426,19 @@ impl ShardConfig {
 // ---------------------------------------------------------------------------
 
 /// Which term of the horizon minimum bound an LP's window:
-/// `horizon(i) = min(end, committed(i)+window, min_l committed(src(l))+lat(l))`.
+/// `horizon(i) = min(end, committed(i)+window, min_l close(A(src(l))))`,
+/// with `A` and `close` as in the module docs. A tie between a link and
+/// the end or window is credited to the link (the lowest-index link among
+/// tied links), so a report that names no link means none bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HorizonBound {
     /// The global end horizon — the LP is finishing, not stalled.
     End,
-    /// The per-round window cap — the LP advanced as far as allowed.
+    /// The explicit per-round window cap — the LP advanced as far as
+    /// allowed.
     Window,
-    /// An incoming link's `committed(src) + latency` — the LP is waiting
-    /// on its neighbor; this link's lookahead is the bottleneck.
+    /// An incoming link's `close(A(src))` — the LP is waiting on its
+    /// neighbor; this link is the bottleneck.
     Link(usize),
 }
 
@@ -436,8 +454,9 @@ impl HorizonBound {
 }
 
 /// One LP's record of one synchronization round. The simulated-time
-/// fields (`start_fs`, `horizon_fs`, `bound`, `sent`, `received`,
-/// `last_inject`) are deterministic — identical at any shard count; the
+/// fields (`start_fs`, `horizon_fs`, `bound`, `events`, `sent`,
+/// `received`, `last_inject`) are deterministic — identical at any shard
+/// count; the
 /// wall-clock fields (`busy_ns`, `blocked_ns`) describe this execution
 /// only.
 #[derive(Debug, Clone, PartialEq)]
@@ -450,9 +469,11 @@ pub struct LpWindow {
     pub horizon_fs: u64,
     /// Which min-term bound the horizon.
     pub bound: HorizonBound,
+    /// Events the LP's kernel dispatched during the round.
+    pub events: u64,
     /// Cross-shard messages this LP sent during the round.
     pub sent: u64,
-    /// Envelopes injected into this LP at the start of the round.
+    /// Envelopes injected into this LP during the round.
     pub received: u64,
     /// `(link, seq)` of the last envelope injected this round — the
     /// newest cross-shard influence on this LP's state, which is what a
@@ -527,8 +548,8 @@ pub struct LinkProfile {
     /// Merge-queue high water: the most messages this link carried in any
     /// single window (compare against [`LinkInfo::capacity`]).
     pub peak_window_messages: u64,
-    /// Rounds in which this link's `committed(src)+latency` term bound
-    /// some LP's horizon — how often its lookahead was the bottleneck.
+    /// Rounds in which this link's `close(A(src))` term bound some LP's
+    /// horizon — how often it was the bottleneck.
     pub bound_windows: u64,
 }
 
@@ -573,6 +594,14 @@ impl ShardProfile {
         EfficiencyReport::from_lps(&self.lps)
     }
 
+    /// Schedule-bound parallelism: total events over the sum, across
+    /// rounds, of the busiest LP's events in that round — the speedup the
+    /// horizon schedule allows with one core per LP and free barriers.
+    /// Deterministic at any shard count; `1.0` for a run with no events.
+    pub fn schedule_parallelism(&self) -> f64 {
+        schedule_parallelism(&self.lps)
+    }
+
     /// JSON summary (totals only; the per-window records are exported by
     /// the merged trace instead).
     pub fn json(&self) -> Json {
@@ -608,10 +637,27 @@ impl ShardProfile {
         Json::obj()
             .with("rounds", ju64(self.rounds))
             .with("quiescent_rounds", ju64(self.quiescent_rounds))
+            .with(
+                "schedule_parallelism",
+                Json::Num(self.schedule_parallelism()),
+            )
             .with("deadlock_deferrals", ju64(self.deadlock_deferrals))
             .with("lps", Json::Arr(lps))
             .with("links", Json::Arr(links))
     }
+}
+
+fn schedule_parallelism(lps: &[LpProfile]) -> f64 {
+    let rounds = lps.iter().map(|l| l.windows.len()).max().unwrap_or(0);
+    let busiest = |r: usize| {
+        lps.iter()
+            .filter_map(|l| l.windows.get(r))
+            .map(|w| w.events)
+            .max()
+    };
+    let critical: u64 = (0..rounds).filter_map(busiest).sum();
+    let total: u64 = lps.iter().flat_map(|l| &l.windows).map(|w| w.events).sum();
+    total.max(1) as f64 / critical.max(1) as f64
 }
 
 /// One LP's row in the parallel-efficiency report.
@@ -648,6 +694,8 @@ pub struct EfficiencyReport {
     /// Max per-LP busy time over mean per-LP busy time (`1.0` = perfectly
     /// balanced; `n` = one LP did all the work).
     pub load_imbalance: f64,
+    /// [`ShardProfile::schedule_parallelism`] of the run.
+    pub schedule_parallelism: f64,
 }
 
 impl EfficiencyReport {
@@ -695,6 +743,7 @@ impl EfficiencyReport {
             } else {
                 max_busy as f64 / mean_busy
             },
+            schedule_parallelism: schedule_parallelism(lps),
         }
     }
 
@@ -717,6 +766,7 @@ impl EfficiencyReport {
         Json::obj()
             .with("parallel_efficiency", Json::Num(self.parallel_efficiency))
             .with("load_imbalance", Json::Num(self.load_imbalance))
+            .with("schedule_parallelism", Json::Num(self.schedule_parallelism))
             .with("lps", Json::Arr(lps))
     }
 
@@ -726,9 +776,10 @@ impl EfficiencyReport {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "parallel efficiency {:.1}% (load imbalance {:.2}x, 1.00x = balanced)",
+            "parallel efficiency {:.1}% (load imbalance {:.2}x, 1.00x = balanced; schedule-bound parallelism {:.2}x)",
             100.0 * self.parallel_efficiency,
-            self.load_imbalance
+            self.load_imbalance,
+            self.schedule_parallelism
         );
         for l in &self.lps {
             let _ = writeln!(
@@ -1054,11 +1105,15 @@ struct LpRuntime {
     probe: Option<LpProbe>,
 }
 
-/// A message drained from an egress outbox: `(send time, link, payload)`.
-type SentMsg = (SimTime, usize, LinkMsg);
+/// A message drained from an egress outbox: `(send time, whether it was
+/// sent after envelopes were posted at that same instant, link, payload)`.
+type SentMsg = (SimTime, bool, usize, LinkMsg);
 
 #[derive(Debug)]
 struct Envelope {
+    /// Where the destination LP posts it: the close of the injection-grid
+    /// slot it was sent in.
+    inject_at: SimTime,
     deliver_at: SimTime,
     link: usize,
     seq: u64,
@@ -1077,6 +1132,10 @@ struct LpRoundCmd {
 struct LpRoundOut {
     lp: usize,
     sent: Vec<SentMsg>,
+    /// Events dispatched during the window.
+    events: u64,
+    /// The LP's next pending event time after the window (its LBTS input).
+    next_event: Option<SimTime>,
     /// Wall nanoseconds spent inside `run_until`.
     busy_ns: u64,
     /// Open obligations at the round barrier (deadlock verdict deferred).
@@ -1153,26 +1212,51 @@ fn build_lp(
     })
 }
 
+fn run_to(rt: &mut LpRuntime, t: SimTime) -> SimResult<()> {
+    match rt.sim.run_until(t)? {
+        StopReason::Quiescent | StopReason::TimeLimit => Ok(()),
+        StopReason::Stopped => Err(shard_err(format!(
+            "LP {:?} called Api::stop, which sharded runs do not support",
+            rt.name
+        ))),
+    }
+}
+
+fn drain_outboxes(rt: &LpRuntime, posted_at: Option<SimTime>, sent: &mut Vec<SentMsg>) {
+    for (link, outbox) in &rt.outboxes {
+        for (at, msg) in outbox.borrow_mut().drain(..) {
+            sent.push((at, posted_at == Some(at), *link, msg));
+        }
+    }
+}
+
 fn lp_round(rt: &mut LpRuntime, cmd: LpRoundCmd) -> SimResult<LpRoundOut> {
     let lp = cmd.lp;
-    // Inject this window's envelopes, already globally sorted by
-    // (deliver_at, link, seq): `post` assigns kernel sequence numbers in
-    // call order, so the injection order *is* the dispatch tiebreak and is
-    // identical in every execution mode.
+    let dispatched = rt.sim.metrics().dispatched;
+    let sim_started = std::time::Instant::now();
+    // Post the envelopes, sorted by (inject_at, deliver_at, link, seq),
+    // each once the clock reaches its inject point: `post` assigns kernel
+    // sequence numbers in call order, so this fixes the dispatch tiebreak
+    // independently of where the round started. What was sent before a
+    // post point is drained first: a send at that instant after the post
+    // goes out a slot later.
+    let mut sent: Vec<SentMsg> = Vec::new();
+    let mut posted_at = None;
     for env in cmd.inject {
-        let now = rt.sim.now();
-        if env.deliver_at < now {
-            return Err(SimError::new(
-                SimErrorKind::Internal,
-                format!(
-                    "conservative lookahead violated: link {} message for t={} arrived at LP \
-                     {:?} already at t={}",
-                    env.link,
-                    env.deliver_at.as_fs(),
-                    rt.name,
-                    now.as_fs()
-                ),
-            ));
+        if env.inject_at < rt.sim.now() {
+            return Err(internal(format!(
+                "conservative lookahead violated: link {} message to inject at t={} arrived at \
+                 LP {:?} already at t={}",
+                env.link,
+                env.inject_at.as_fs(),
+                rt.name,
+                rt.sim.now().as_fs()
+            )));
+        }
+        run_to(rt, env.inject_at)?;
+        if posted_at != Some(env.inject_at) {
+            drain_outboxes(rt, posted_at, &mut sent);
+            posted_at = Some(env.inject_at);
         }
         let target = rt
             .ingress
@@ -1185,7 +1269,7 @@ fn lp_round(rt: &mut LpRuntime, cmd: LpRoundCmd) -> SimResult<LpRoundOut> {
                     rt.name, env.link
                 ))
             })?;
-        let delay = Delay::Time(env.deliver_at.saturating_since(now));
+        let delay = Delay::Time(env.deliver_at.saturating_since(env.inject_at));
         rt.sim.post(
             target,
             LinkPacket {
@@ -1196,31 +1280,18 @@ fn lp_round(rt: &mut LpRuntime, cmd: LpRoundCmd) -> SimResult<LpRoundOut> {
             delay,
         );
     }
-
-    let sim_started = std::time::Instant::now();
-    match rt.sim.run_until(cmd.horizon)? {
-        StopReason::Quiescent | StopReason::TimeLimit => {}
-        StopReason::Stopped => {
-            return Err(shard_err(format!(
-                "LP {:?} called Api::stop, which sharded runs do not support",
-                rt.name
-            )));
-        }
-    }
+    run_to(rt, cmd.horizon)?;
     let busy_ns = sim_started.elapsed().as_nanos() as u64;
 
-    let mut sent: Vec<SentMsg> = Vec::new();
-    for (link, outbox) in &rt.outboxes {
-        for (at, msg) in outbox.borrow_mut().drain(..) {
-            sent.push((at, *link, msg));
-        }
-    }
+    drain_outboxes(rt, posted_at, &mut sent);
     if cmd.hash {
         rt.slice_hashes.push(rt.sim.state_hash()?);
     }
     Ok(LpRoundOut {
         lp,
         sent,
+        events: rt.sim.metrics().dispatched - dispatched,
+        next_event: rt.sim.next_event_time(),
         busy_ns,
         obligations: rt.sim.obligations(),
     })
@@ -1258,123 +1329,98 @@ fn lp_finish(mut rt: LpRuntime) -> SimResult<LpReport> {
 }
 
 // ---------------------------------------------------------------------------
-// Execution pools: inline (the oracle) and worker threads
+// Execution pool: the calling thread runs shard 0, workers run the rest
 // ---------------------------------------------------------------------------
 
-trait ShardPool {
-    /// Run one window on every LP; returns per-LP round outputs sorted by
-    /// LP index.
-    fn round(&mut self, cmds: Vec<LpRoundCmd>) -> SimResult<Vec<LpRoundOut>>;
-    /// Tear down and collect per-LP reports, sorted by LP index.
-    fn finish(&mut self) -> SimResult<Vec<LpReport>>;
-}
+/// A per-LP result whose error names the failing LP, so a round reports its
+/// lowest-index failure whatever the shard count.
+type LpResult<T> = Result<T, (usize, SimError)>;
 
-struct InlinePool {
-    rts: Vec<LpRuntime>,
-}
-
-impl ShardPool for InlinePool {
-    fn round(&mut self, cmds: Vec<LpRoundCmd>) -> SimResult<Vec<LpRoundOut>> {
-        let mut out = Vec::with_capacity(cmds.len());
-        for cmd in cmds {
-            let rt = self
-                .rts
-                .iter_mut()
-                .find(|r| r.lp == cmd.lp)
-                .ok_or_else(|| shard_err(format!("no runtime for LP {}", cmd.lp)))?;
-            out.push(lp_round(rt, cmd)?);
-        }
-        Ok(out)
-    }
-
-    fn finish(&mut self) -> SimResult<Vec<LpReport>> {
-        let mut rts = std::mem::take(&mut self.rts);
-        rts.sort_by_key(|r| r.lp);
-        rts.into_iter().map(lp_finish).collect()
-    }
-}
+/// What a shard hands back: its LPs' round outputs, or their reports.
+type ShardOut = (Vec<LpRoundOut>, Vec<(usize, LpReport)>);
 
 enum Cmd {
     Round(Vec<LpRoundCmd>),
     Finish,
 }
 
-enum Reply {
-    Built(SimResult<()>),
-    Round(SimResult<Vec<LpRoundOut>>),
-    Finished(SimResult<Vec<(usize, LpReport)>>),
+/// Run one LP's work with a panic in its component code surfaced as a
+/// typed `Internal` error, whichever thread runs the LP: a panic must
+/// neither escape a scoped worker (`std::thread::scope` would re-panic on
+/// join) nor unwind through the coordinator on the calling thread.
+fn guarded<T>(lp: usize, work: impl FnOnce() -> SimResult<T>) -> LpResult<T> {
+    match catch_unwind(AssertUnwindSafe(work)) {
+        Ok(r) => r.map_err(|e| (lp, e)),
+        Err(p) => Err((lp, internal(format!("LP {lp} panicked: {}", panic_text(p))))),
+    }
+}
+
+fn internal(msg: impl Into<String>) -> SimError {
+    SimError::new(SimErrorKind::Internal, msg)
+}
+
+// A shard visits its LPs in index order up to the first failure, which is
+// therefore the shard's lowest-index one.
+
+fn build_shard(
+    specs: Vec<(usize, LpSpec)>,
+    links: &[LinkInfo],
+    trace_capacity: Option<usize>,
+) -> LpResult<Vec<LpRuntime>> {
+    specs
+        .into_iter()
+        .map(|(lp, spec)| guarded(lp, || build_lp(spec, lp, links, trace_capacity)))
+        .collect()
+}
+
+fn shard_step(rts: &mut Vec<LpRuntime>, cmd: Cmd) -> LpResult<ShardOut> {
+    match cmd {
+        Cmd::Round(cmds) => {
+            let mut outs = Vec::with_capacity(cmds.len());
+            for cmd in cmds {
+                let lp = cmd.lp;
+                let rt = rts
+                    .iter_mut()
+                    .find(|r| r.lp == lp)
+                    .ok_or_else(|| (lp, shard_err(format!("no runtime for LP {lp}"))))?;
+                outs.push(guarded(lp, || lp_round(rt, cmd))?);
+            }
+            Ok((outs, Vec::new()))
+        }
+        Cmd::Finish => {
+            let reports = std::mem::take(rts)
+                .into_iter()
+                .map(|rt| {
+                    let lp = rt.lp;
+                    guarded(lp, || lp_finish(rt)).map(|r| (lp, r))
+                })
+                .collect::<LpResult<_>>()?;
+            Ok((Vec::new(), reports))
+        }
+    }
 }
 
 fn worker_main(
     specs: Vec<(usize, LpSpec)>,
-    links: Vec<LinkInfo>,
+    links: &[LinkInfo],
     trace_capacity: Option<usize>,
     rx: mpsc::Receiver<Cmd>,
-    tx: mpsc::Sender<Reply>,
+    tx: mpsc::Sender<LpResult<ShardOut>>,
 ) {
-    let built: SimResult<Vec<LpRuntime>> = specs
-        .into_iter()
-        .map(|(lp, spec)| build_lp(spec, lp, &links, trace_capacity))
-        .collect();
-    let mut rts = match built {
-        Ok(rts) => {
-            let _ = tx.send(Reply::Built(Ok(())));
-            rts
-        }
+    let mut rts = match build_shard(specs, links, trace_capacity) {
+        Ok(rts) => rts,
         Err(e) => {
-            let _ = tx.send(Reply::Built(Err(e)));
+            let _ = tx.send(Err(e));
             return;
         }
     };
+    // An empty output acknowledges the build.
+    if tx.send(Ok(ShardOut::default())).is_err() {
+        return;
+    }
     while let Ok(cmd) = rx.recv() {
-        match cmd {
-            Cmd::Round(cmds) => {
-                // Panics in component code must not escape the scoped
-                // thread (std::thread::scope would re-panic on join);
-                // surface them as typed errors like drcf-dse's sweeps do.
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    let mut out = Vec::with_capacity(cmds.len());
-                    for cmd in cmds {
-                        let rt = rts
-                            .iter_mut()
-                            .find(|r| r.lp == cmd.lp)
-                            .ok_or_else(|| shard_err(format!("no runtime for LP {}", cmd.lp)))?;
-                        out.push(lp_round(rt, cmd)?);
-                    }
-                    Ok(out)
-                }));
-                let reply = match result {
-                    Ok(r) => r,
-                    Err(p) => Err(SimError::new(
-                        SimErrorKind::Internal,
-                        format!("shard worker panicked: {}", panic_text(p)),
-                    )),
-                };
-                if tx.send(Reply::Round(reply)).is_err() {
-                    return;
-                }
-            }
-            Cmd::Finish => {
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    rts.sort_by_key(|r| r.lp);
-                    std::mem::take(&mut rts)
-                        .into_iter()
-                        .map(|rt| {
-                            let lp = rt.lp;
-                            lp_finish(rt).map(|r| (lp, r))
-                        })
-                        .collect()
-                }));
-                let reply = match result {
-                    Ok(r) => r,
-                    Err(p) => Err(SimError::new(
-                        SimErrorKind::Internal,
-                        format!("shard worker panicked: {}", panic_text(p)),
-                    )),
-                };
-                let _ = tx.send(Reply::Finished(reply));
-                return;
-            }
+        if tx.send(shard_step(&mut rts, cmd)).is_err() {
+            return;
         }
     }
 }
@@ -1389,74 +1435,86 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-struct ThreadPool<'a> {
-    txs: Vec<mpsc::Sender<Cmd>>,
-    rxs: Vec<mpsc::Receiver<Reply>>,
+/// Every shard's LPs: shard 0's live on the calling thread, each other
+/// shard's on one scoped worker thread.
+struct ShardPool<'a> {
+    local: Vec<LpRuntime>,
+    /// Command and reply channels of the workers for shards 1, 2, ...
+    workers: Vec<(mpsc::Sender<Cmd>, mpsc::Receiver<LpResult<ShardOut>>)>,
     shard_of: &'a [usize],
 }
 
-impl ThreadPool<'_> {
-    fn dead_worker() -> SimError {
-        SimError::new(SimErrorKind::Internal, "shard worker disappeared")
+impl ShardPool<'_> {
+    /// Build shard 0 on this thread while the workers build theirs.
+    fn start<'a>(
+        local: Vec<(usize, LpSpec)>,
+        links: &[LinkInfo],
+        trace_capacity: Option<usize>,
+        workers: Vec<(mpsc::Sender<Cmd>, mpsc::Receiver<LpResult<ShardOut>>)>,
+        shard_of: &'a [usize],
+    ) -> SimResult<ShardPool<'a>> {
+        let mut pool = ShardPool {
+            local: Vec::new(),
+            workers,
+            shard_of,
+        };
+        let built = build_shard(local, links, trace_capacity).map(|rts| pool.local = rts);
+        pool.gather(built.map(|()| ShardOut::default()))?;
+        Ok(pool)
     }
-}
 
-impl ShardPool for ThreadPool<'_> {
+    /// Shard 0's output plus every worker's reply; the lowest-index LP's
+    /// failure wins.
+    fn gather(&self, local: LpResult<ShardOut>) -> SimResult<ShardOut> {
+        let mut out = ShardOut::default();
+        let mut first: Option<(usize, SimError)> = None;
+        let replies = self.workers.iter().map(|(_, rx)| {
+            rx.recv()
+                .unwrap_or_else(|_| Err((usize::MAX, internal("shard worker disappeared"))))
+        });
+        for r in std::iter::once(local).chain(replies) {
+            match r {
+                Ok((outs, reports)) => {
+                    out.0.extend(outs);
+                    out.1.extend(reports);
+                }
+                Err(e) if first.as_ref().is_none_or(|f| e.0 < f.0) => first = Some(e),
+                Err(_) => {}
+            }
+        }
+        first.map_or(Ok(out), |(_, e)| Err(e))
+    }
+
+    /// Hand each worker its command and run shard 0's on this thread
+    /// meanwhile (`cmds` holds one per shard, shard 0 first).
+    fn step(&mut self, cmds: impl IntoIterator<Item = Cmd>) -> SimResult<ShardOut> {
+        let mut cmds = cmds.into_iter();
+        let Some(local) = cmds.next() else {
+            return Ok(ShardOut::default());
+        };
+        for ((tx, _), cmd) in self.workers.iter().zip(cmds) {
+            // A worker that hung up is reported by `gather`.
+            let _ = tx.send(cmd);
+        }
+        let local = shard_step(&mut self.local, local);
+        self.gather(local)
+    }
+
+    /// Run one window on every LP; returns per-LP round outputs sorted by
+    /// LP index.
     fn round(&mut self, cmds: Vec<LpRoundCmd>) -> SimResult<Vec<LpRoundOut>> {
-        let mut per: Vec<Vec<LpRoundCmd>> = (0..self.txs.len()).map(|_| Vec::new()).collect();
+        let mut per: Vec<Vec<LpRoundCmd>> = (0..=self.workers.len()).map(|_| Vec::new()).collect();
         for cmd in cmds {
             per[self.shard_of[cmd.lp]].push(cmd);
         }
-        for (tx, batch) in self.txs.iter().zip(per) {
-            tx.send(Cmd::Round(batch))
-                .map_err(|_| Self::dead_worker())?;
-        }
-        let mut out: Vec<LpRoundOut> = Vec::new();
-        let mut first_err: Option<SimError> = None;
-        for rx in &self.rxs {
-            match rx.recv().map_err(|_| Self::dead_worker())? {
-                Reply::Round(Ok(v)) => out.extend(v),
-                Reply::Round(Err(e)) => {
-                    first_err.get_or_insert(e);
-                }
-                Reply::Built(_) | Reply::Finished(_) => {
-                    first_err.get_or_insert(SimError::new(
-                        SimErrorKind::Internal,
-                        "shard worker protocol violation",
-                    ));
-                }
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        out.sort_by_key(|o| o.lp);
-        Ok(out)
+        let mut outs = self.step(per.into_iter().map(Cmd::Round))?.0;
+        outs.sort_by_key(|o| o.lp);
+        Ok(outs)
     }
 
+    /// Tear down and collect per-LP reports, sorted by LP index.
     fn finish(&mut self) -> SimResult<Vec<LpReport>> {
-        for tx in &self.txs {
-            tx.send(Cmd::Finish).map_err(|_| Self::dead_worker())?;
-        }
-        let mut reports: Vec<(usize, LpReport)> = Vec::new();
-        let mut first_err: Option<SimError> = None;
-        for rx in &self.rxs {
-            match rx.recv().map_err(|_| Self::dead_worker())? {
-                Reply::Finished(Ok(v)) => reports.extend(v),
-                Reply::Finished(Err(e)) => {
-                    first_err.get_or_insert(e);
-                }
-                Reply::Built(_) | Reply::Round(_) => {
-                    first_err.get_or_insert(SimError::new(
-                        SimErrorKind::Internal,
-                        "shard worker protocol violation",
-                    ));
-                }
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
+        let mut reports = self.step((0..=self.workers.len()).map(|_| Cmd::Finish))?.1;
         reports.sort_by_key(|&(lp, _)| lp);
         Ok(reports.into_iter().map(|(_, r)| r).collect())
     }
@@ -1466,8 +1524,51 @@ impl ShardPool for ThreadPool<'_> {
 // Coordinator
 // ---------------------------------------------------------------------------
 
+/// `close(t)` of the module docs: the end of `t`'s slot on the injection
+/// grid of slot width `w`, saturating at "never".
+fn slot_close(t: SimTime, w: u64) -> SimTime {
+    SimTime(t.0.div_ceil(w).max(1).saturating_mul(w))
+}
+
+/// `t + d`, saturating at [`SimTime::MAX`] ("never").
+fn after(t: SimTime, d: SimDuration) -> SimTime {
+    SimTime(t.0.saturating_add(d.0))
+}
+
+/// Lower bound on timestamp per LP: the earliest time it could still
+/// dispatch anything, from its own next event, its queued injections and,
+/// relaxed to a fixed point, what its neighbours could still send it.
+fn lbts(
+    links: &[LinkInfo],
+    committed: &[SimTime],
+    next_event: &[Option<SimTime>],
+    queued: &[Vec<Envelope>],
+) -> Vec<SimTime> {
+    let mut a: Vec<SimTime> = (0..committed.len())
+        .map(|i| {
+            let delivery = queued[i].iter().map(|e| e.deliver_at).min();
+            let next = [next_event[i], delivery].into_iter().flatten().min();
+            next.unwrap_or(SimTime::MAX).max(committed[i])
+        })
+        .collect();
+    // Latencies are positive, so this shortest-path relaxation settles
+    // within one pass per LP.
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for l in links {
+            let via = after(a[l.from], l.min_latency);
+            if via < a[l.to] {
+                a[l.to] = via;
+                changed = true;
+            }
+        }
+    }
+    a
+}
+
 fn coordinate(
-    pool: &mut dyn ShardPool,
+    pool: &mut ShardPool<'_>,
     links: &[LinkInfo],
     n: usize,
     cfg: &ShardConfig,
@@ -1475,25 +1576,29 @@ fn coordinate(
     weights: &[u64],
 ) -> SimResult<(Vec<LpReport>, u64, u64, u64, ShardProfile)> {
     let end = cfg.end;
-    let min_lat = links.iter().map(|l| l.min_latency).min();
-    let window = match cfg.window.or(min_lat) {
-        Some(w) if w > SimDuration::ZERO => w,
-        Some(_) => return Err(shard_err("window must be positive")),
-        // No links and no explicit window: one round covers the whole run.
-        None => SimDuration::fs(end.as_fs().max(1)),
-    };
-    let incoming: Vec<Vec<(usize, SimDuration, usize)>> = (0..n)
+    if cfg.window == Some(SimDuration::ZERO) {
+        return Err(shard_err("window must be positive"));
+    }
+    let incoming: Vec<Vec<(usize, usize)>> = (0..n)
         .map(|i| {
             links
                 .iter()
                 .filter(|l| l.to == i)
-                .map(|l| (l.from, l.min_latency, l.index))
+                .map(|l| (l.from, l.index))
                 .collect()
         })
         .collect();
+    // The injection grid's slot width; without links nothing is sent, so
+    // any width will do.
+    let slot = links.iter().map(|l| l.min_latency.0).min().unwrap_or(1);
 
     let mut committed = vec![SimTime::ZERO; n];
-    let mut inject_next: Vec<Vec<Envelope>> = (0..n).map(|_| Vec::new()).collect();
+    // Each LP's next pending event as of its last barrier; before round
+    // one, every LP has its `Start` deliveries pending at time zero.
+    let mut next_event = vec![Some(SimTime::ZERO); n];
+    // Envelopes not yet handed to their LP, sorted by (inject_at,
+    // deliver_at, link, seq).
+    let mut queued: Vec<Vec<Envelope>> = (0..n).map(|_| Vec::new()).collect();
     let mut link_seq = vec![0u64; links.len()];
     let mut rounds = 0u64;
     let mut messages = 0u64;
@@ -1530,18 +1635,25 @@ fn coordinate(
     };
 
     while committed.iter().any(|&t| t < end) {
+        let lbts = lbts(links, &committed, &next_event, &queued);
         let mut horizons = vec![SimTime::ZERO; n];
-        let mut bounds = vec![HorizonBound::Window; n];
+        let mut bounds = vec![HorizonBound::End; n];
         for i in 0..n {
-            let mut h = committed[i] + window;
-            let mut b = HorizonBound::Window;
-            if end < h {
-                h = end;
-                b = HorizonBound::End;
+            let (mut h, mut b) = (end, HorizonBound::End);
+            if let Some(w) = cfg.window {
+                let cap = after(committed[i], w);
+                if cap < h {
+                    h = cap;
+                    b = HorizonBound::Window;
+                }
             }
-            for &(from, lat, link) in &incoming[i] {
-                let limit = committed[from] + lat;
-                if limit < h {
+            for &(from, link) in &incoming[i] {
+                // `from` has dispatched everything up to its committed
+                // time, so a send at that instant can only follow a post.
+                let earliest = lbts[from].max(SimTime(committed[from].0.saturating_add(1)));
+                let limit = slot_close(earliest, slot);
+                // A tie with the end or the window is a link bound.
+                if limit < h || (limit == h && !matches!(b, HorizonBound::Link(_))) {
                     h = limit;
                     b = HorizonBound::Link(link);
                 }
@@ -1549,11 +1661,16 @@ fn coordinate(
             horizons[i] = h.max(committed[i]);
             bounds[i] = b;
         }
-        // Record the deterministic half of each LP's window record before
-        // the inject queues are handed to the round.
+        // Hand every LP the envelopes to post before its horizon, all of
+        // them known (nothing still unsent is posted before the horizon);
+        // those posted exactly at it wait for the round that starts there.
+        // Record the deterministic half of each window meanwhile.
+        let mut inject: Vec<Vec<Envelope>> = Vec::with_capacity(n);
         for i in 0..n {
-            let received = inject_next[i].len() as u64;
-            let last_inject = inject_next[i].last().map(|e| (e.link, e.seq));
+            let due = queued[i].partition_point(|e| e.inject_at < horizons[i]);
+            inject.push(queued[i].drain(..due).collect());
+            let received = inject[i].len() as u64;
+            let last_inject = inject[i].last().map(|e| (e.link, e.seq));
             profile.lps[i].received += received;
             if let HorizonBound::Link(l) = bounds[i] {
                 profile.links[l].bound_windows += 1;
@@ -1563,6 +1680,7 @@ fn coordinate(
                 start_fs: committed[i].as_fs(),
                 horizon_fs: horizons[i].as_fs(),
                 bound: bounds[i],
+                events: 0,
                 sent: 0,
                 received,
                 last_inject,
@@ -1570,11 +1688,13 @@ fn coordinate(
                 blocked_ns: 0,
             });
         }
-        let cmds: Vec<LpRoundCmd> = (0..n)
-            .map(|i| LpRoundCmd {
+        let cmds: Vec<LpRoundCmd> = inject
+            .into_iter()
+            .enumerate()
+            .map(|(i, inject)| LpRoundCmd {
                 lp: i,
                 horizon: horizons[i],
-                inject: std::mem::take(&mut inject_next[i]),
+                inject,
                 hash: cfg.hash_slices,
             })
             .collect();
@@ -1598,12 +1718,14 @@ fn coordinate(
             let blocked = round_wall_ns.saturating_sub(out.busy_ns);
             lprof.blocked_ns += blocked;
             if let Some(w) = lprof.windows.last_mut() {
+                w.events = out.events;
                 w.sent = out.sent.len() as u64;
                 w.busy_ns = out.busy_ns;
                 w.blocked_ns = blocked;
             }
             any_obligations |= out.obligations > 0;
-            for (at, link, msg) in out.sent {
+            next_event[out.lp] = out.next_event;
+            for (at, after_post, link, msg) in out.sent {
                 let l = &links[link];
                 round_count[link] += 1;
                 if round_count[link] > l.capacity {
@@ -1614,7 +1736,11 @@ fn coordinate(
                 }
                 let seq = link_seq[link];
                 link_seq[link] += 1;
+                // A send that followed a post at its instant belongs to
+                // the next slot.
+                let slot_time = SimTime(at.0 + u64::from(after_post));
                 envs.push(Envelope {
+                    inject_at: slot_close(slot_time, slot),
                     deliver_at: at + l.min_latency,
                     link,
                     seq,
@@ -1634,31 +1760,25 @@ fn coordinate(
             profile.deadlock_deferrals += 1;
         }
         messages += envs.len() as u64;
-        envs.sort_by_key(|e| (e.deliver_at, e.link, e.seq));
         for e in envs {
-            let to = links[e.link].to;
-            inject_next[to].push(e);
+            queued[links[e.link].to].push(e);
+        }
+        for q in &mut queued {
+            q.sort_by_key(|e| (e.inject_at, e.deliver_at, e.link, e.seq));
         }
         committed.copy_from_slice(&horizons);
     }
     profile.rounds = rounds;
 
-    let in_flight: u64 = inject_next.iter().map(|v| v.len() as u64).sum();
+    let in_flight: u64 = queued.iter().map(|v| v.len() as u64).sum();
     // Everything still undelivered must lie at or beyond the end horizon;
     // anything earlier would mean the lookahead protocol broke.
-    for v in &inject_next {
-        for e in v {
-            if e.deliver_at < end {
-                return Err(SimError::new(
-                    SimErrorKind::Internal,
-                    format!(
-                        "undelivered message on link {} at t={} before the end horizon",
-                        e.link,
-                        e.deliver_at.as_fs()
-                    ),
-                ));
-            }
-        }
+    if let Some(e) = queued.iter().flatten().find(|e| e.deliver_at < end) {
+        return Err(internal(format!(
+            "undelivered message on link {} at t={} before the end horizon",
+            e.link,
+            e.deliver_at.as_fs()
+        )));
     }
 
     let reports = pool.finish()?;
@@ -1676,11 +1796,11 @@ fn coordinate(
 
 /// Execute a sharded topology to its end horizon.
 ///
-/// With `cfg.shards == 1` every LP runs inline on the calling thread — the
-/// single-threaded oracle. With more shards, LPs are grouped by the
-/// [`partition_lps`] auto-partitioner (or `cfg.assign`) onto worker
-/// threads; results are bit-identical to the oracle in either mode (see
-/// the module docs for the argument).
+/// LPs are grouped onto `cfg.shards` shards by the [`partition_lps`]
+/// auto-partitioner (or `cfg.assign`); the calling thread runs shard 0 and
+/// one worker thread runs each other shard, so `cfg.shards == 1` is the
+/// single-threaded oracle. Results are bit-identical at any shard count
+/// (see the module docs for the argument).
 pub fn run_sharded(topo: ShardTopology, cfg: &ShardConfig) -> SimResult<ShardRunReport> {
     topo.validate()?;
     let n = topo.lps.len();
@@ -1701,60 +1821,27 @@ pub fn run_sharded(topo: ShardTopology, cfg: &ShardConfig) -> SimResult<ShardRun
     let names: Vec<String> = topo.lps.iter().map(|s| s.name.clone()).collect();
     let weights = topo.weights();
 
-    let (reports, rounds, messages, in_flight, profile) = if shards <= 1 {
-        let rts: SimResult<Vec<LpRuntime>> = topo
-            .lps
-            .into_iter()
-            .enumerate()
-            .map(|(lp, spec)| build_lp(spec, lp, &topo.links, cfg.trace_capacity))
+    let mut specs: Vec<Vec<(usize, LpSpec)>> = (0..shards).map(|_| Vec::new()).collect();
+    for (lp, spec) in topo.lps.into_iter().enumerate() {
+        specs[assign[lp]].push((lp, spec));
+    }
+    let links = &topo.links;
+    let trace_capacity = cfg.trace_capacity;
+    let (reports, rounds, messages, in_flight, profile) = std::thread::scope(|scope| {
+        let mut specs = specs.into_iter();
+        let local = specs.next().unwrap_or_default();
+        let workers = specs
+            .map(|shard_specs| {
+                let (cmd_tx, cmd_rx) = mpsc::channel();
+                let (rep_tx, rep_rx) = mpsc::channel();
+                scope
+                    .spawn(move || worker_main(shard_specs, links, trace_capacity, cmd_rx, rep_tx));
+                (cmd_tx, rep_rx)
+            })
             .collect();
-        let mut pool = InlinePool { rts: rts? };
-        coordinate(&mut pool, &topo.links, n, cfg, &names, &weights)?
-    } else {
-        let mut specs: Vec<Vec<(usize, LpSpec)>> = (0..shards).map(|_| Vec::new()).collect();
-        for (lp, spec) in topo.lps.into_iter().enumerate() {
-            specs[assign[lp]].push((lp, spec));
-        }
-        let links = topo.links;
-        std::thread::scope(|scope| -> SimResult<_> {
-            let mut txs = Vec::with_capacity(shards);
-            let mut rxs = Vec::with_capacity(shards);
-            for shard_specs in specs {
-                let (cmd_tx, cmd_rx) = mpsc::channel::<Cmd>();
-                let (rep_tx, rep_rx) = mpsc::channel::<Reply>();
-                let worker_links = links.clone();
-                let trace_capacity = cfg.trace_capacity;
-                scope.spawn(move || {
-                    worker_main(shard_specs, worker_links, trace_capacity, cmd_rx, rep_tx)
-                });
-                txs.push(cmd_tx);
-                rxs.push(rep_rx);
-            }
-            // Wait for every worker to build its LPs before round one.
-            let mut build_err: Option<SimError> = None;
-            for rx in &rxs {
-                match rx.recv() {
-                    Ok(Reply::Built(Ok(()))) => {}
-                    Ok(Reply::Built(Err(e))) => {
-                        build_err.get_or_insert(e);
-                    }
-                    Ok(_) | Err(_) => {
-                        build_err.get_or_insert(ThreadPool::dead_worker());
-                    }
-                }
-            }
-            if let Some(e) = build_err {
-                // Dropping the senders unblocks and terminates workers.
-                return Err(e);
-            }
-            let mut pool = ThreadPool {
-                txs,
-                rxs,
-                shard_of: &assign,
-            };
-            coordinate(&mut pool, &links, n, cfg, &names, &weights)
-        })?
-    };
+        let mut pool = ShardPool::start(local, links, trace_capacity, workers, &assign)?;
+        coordinate(&mut pool, links, n, cfg, &names, &weights)
+    })?;
 
     Ok(ShardRunReport {
         lps: reports,
@@ -2081,23 +2168,44 @@ mod tests {
                 Ok(Json::Null)
             }
         }
-        let mut topo = ShardTopology::new();
-        topo.add_lp("a", |sim, _| {
-            sim.add("bomb", Bomb);
-            Ok(())
-        });
-        topo.add_lp("idle", |sim, io| {
-            let id = sim.add("n", crate::component::NullComponent);
-            for l in io.incoming() {
-                io.set_ingress(l, id)?;
+        // LP 0 panics in a round (its component) or at finish (its probe).
+        // With `both`, LP 1 panics at the same point too, and LP 0's error
+        // must still be the one reported.
+        let topo = |in_probe: bool, both: bool| {
+            let mut topo = ShardTopology::new();
+            for lp in 0..2 {
+                let bomb = lp == 0 || both;
+                topo.add_lp(&format!("lp{lp}"), move |sim, io| {
+                    let id = if bomb && !in_probe {
+                        sim.add("bomb", Bomb)
+                    } else {
+                        sim.add("n", crate::component::NullComponent)
+                    };
+                    for l in io.incoming() {
+                        io.set_ingress(l, id)?;
+                    }
+                    Ok(())
+                });
+                if bomb && in_probe {
+                    topo.set_probe(lp, |_| panic!("probe detonated"));
+                }
             }
-            Ok(())
-        });
-        topo.add_link("l", 0, 1, SimDuration::ns(100));
-        let cfg = ShardConfig::to(SimTime(SimDuration::us(1).0)).shards(2);
-        let err = run_sharded(topo, &cfg).expect_err("panic becomes an error");
-        assert_eq!(err.kind, SimErrorKind::Internal);
-        assert!(err.message.contains("panicked"), "{err:?}");
+            topo.add_link("l", 0, 1, SimDuration::ns(100));
+            topo
+        };
+        // The panicking LP on shard 0 (the calling thread), on shard 1 (a
+        // worker), and under the single-shard oracle.
+        for (shards, assign) in [(2, vec![0, 1]), (2, vec![1, 0]), (1, vec![0, 0])] {
+            for (in_probe, both) in [(false, false), (true, false), (false, true), (true, true)] {
+                let mut cfg = ShardConfig::to(SimTime(SimDuration::us(1).0)).shards(shards);
+                cfg.assign = Some(assign.clone());
+                let err =
+                    run_sharded(topo(in_probe, both), &cfg).expect_err("panic becomes an error");
+                assert_eq!(err.kind, SimErrorKind::Internal);
+                assert!(err.message.contains("LP 0 panicked"), "{err:?}");
+                assert!(err.message.contains("detonated"), "{err:?}");
+            }
+        }
     }
 
     #[test]
@@ -2163,11 +2271,15 @@ mod tests {
 
     #[test]
     fn link_bound_horizons_surface_the_critical_link() {
-        // With the window forced above the link latency, every LP's
-        // horizon is bound by its incoming link, not the window cap.
-        let topo = ring(3, 500, 0);
-        let cfg = ShardConfig::to(SimTime(SimDuration::us(10).0)).window(SimDuration::us(2));
-        let r = run_sharded(topo, &cfg).expect("run");
+        // With the window forced above the link latency, the LPs' horizons
+        // are bound by their incoming links, not the window cap.
+        let run = |shards: usize| {
+            let cfg = ShardConfig::to(SimTime(SimDuration::us(10).0))
+                .window(SimDuration::us(2))
+                .shards(shards);
+            run_sharded(ring(3, 500, 0), &cfg).expect("run")
+        };
+        let r = run(1);
         let p = &r.profile;
         assert!(
             p.lps
@@ -2178,9 +2290,104 @@ mod tests {
         );
         let crit = p.critical_link().expect("a link bound some horizon");
         assert!(crit.bound_windows > 0);
-        // All three ring links bind symmetrically; the tie resolves to the
-        // lowest link index.
-        assert_eq!(crit.link, 0);
+        // Which link is critical is a property of the schedule, so every
+        // shard count names the same one.
+        assert_eq!(run(3).profile.critical_link(), Some(crit));
+    }
+
+    #[test]
+    fn a_tie_between_window_and_link_is_credited_to_the_link() {
+        // A busy source: the sink's link term closes exactly one window
+        // after its committed time, tying the window cap every round.
+        let mut topo = ShardTopology::new();
+        topo.add_lp("src", |sim, io| {
+            sim.add("node", Node::new(0, vec![io.egress(0)?], 100, 2));
+            Ok(())
+        });
+        topo.add_lp("sink", |sim, io| {
+            let id = sim.add("node", Node::new(1, Vec::new(), 1_000, 0));
+            io.set_ingress(0, id)
+        });
+        topo.add_link("l", 0, 1, SimDuration::ns(500));
+        let cfg = ShardConfig::to(SimTime(SimDuration::us(20).0)).window(SimDuration::ns(500));
+        let r = run_sharded(topo, &cfg).expect("run");
+        assert!(r.profile.links[0].bound_windows > 0);
+        assert!(
+            r.profile.lps[1]
+                .windows
+                .iter()
+                .all(|w| w.bound == HorizonBound::Link(0)),
+            "every sink window ties the window cap and is credited to the link"
+        );
+    }
+
+    #[test]
+    fn schedule_parallelism_is_exact_on_a_hand_built_topology() {
+        // Two unlinked LPs run in one round: 1 start + 50 ticks against
+        // 1 start + 20 ticks, so the busiest LP bounds the round at 51.
+        let mut topo = ShardTopology::new();
+        for (name, period) in [("fast", 100), ("slow", 250)] {
+            topo.add_lp(name, move |sim, _| {
+                sim.add("node", Node::new(0, Vec::new(), period, 0));
+                Ok(())
+            });
+        }
+        let r = run_sharded(topo, &ShardConfig::to(SimTime(SimDuration::us(5).0))).expect("run");
+        assert_eq!(r.rounds, 1);
+        assert_eq!(r.profile.lps[0].windows[0].events, 51);
+        assert_eq!(r.profile.lps[1].windows[0].events, 21);
+        assert_eq!(r.profile.schedule_parallelism(), 72.0 / 51.0);
+
+        // Per-round maxima, by hand: rounds of (5, 1), (0, 4), (3, 3)
+        // events cost 5 + 4 + 3 = 12 against 16 in total.
+        let mk = |lp: usize, events: &[u64]| LpProfile {
+            lp,
+            name: format!("lp{lp}"),
+            weight: 1,
+            windows: events
+                .iter()
+                .enumerate()
+                .map(|(round, &events)| LpWindow {
+                    round: round as u64,
+                    start_fs: 0,
+                    horizon_fs: 0,
+                    bound: HorizonBound::End,
+                    events,
+                    sent: 0,
+                    received: 0,
+                    last_inject: None,
+                    busy_ns: 0,
+                    blocked_ns: 0,
+                })
+                .collect(),
+            busy_ns: 0,
+            blocked_ns: 0,
+            sent: 0,
+            received: 0,
+        };
+        let lps = vec![mk(0, &[5, 0, 3]), mk(1, &[1, 4, 3])];
+        let e = EfficiencyReport::from_lps(&lps);
+        assert_eq!(e.schedule_parallelism, 16.0 / 12.0);
+        assert!(
+            e.render().contains("schedule-bound parallelism 1.33x"),
+            "{}",
+            e.render()
+        );
+        let idle = ShardProfile::default();
+        assert_eq!(idle.schedule_parallelism(), 1.0);
+    }
+
+    #[test]
+    fn schedule_parallelism_is_shard_count_invariant() {
+        let run = |shards: usize| {
+            let cfg = ShardConfig::to(SimTime(SimDuration::us(20).0)).shards(shards);
+            run_sharded(ring(4, 500, 0), &cfg).expect("run")
+        };
+        let oracle = run(1).profile.schedule_parallelism();
+        assert!(oracle > 1.0, "four busy LPs overlap: {oracle}");
+        for shards in [2, 4] {
+            assert_eq!(run(shards).profile.schedule_parallelism(), oracle);
+        }
     }
 
     #[test]
