@@ -33,10 +33,14 @@
 //! process track per LP plus synthesized `round` spans on each kernel
 //! track), and self-validates the written file before exiting.
 
-/// Event dispatch allocates roughly 1.3 small blocks per event (boxed
-/// message payloads plus burst-data vectors); the pooled allocator turns
-/// those into thread-local free-list hits. Benchmarks therefore measure
-/// the allocator the workspace recommends for simulation binaries.
+/// Event dispatch allocates about one small block per event (boxed
+/// message payloads plus read-data vectors): 1.01 allocations per
+/// dispatched event over `run_soc_mut` of the 576-scenario `soc_runs`
+/// benchmark mix, counted by a wrapping `#[global_allocator]` (1,348
+/// allocations for 1,338 events per run; building the SoC adds ~150).
+/// The pooled allocator turns those into thread-local free-list hits.
+/// Benchmarks therefore measure the allocator the workspace recommends
+/// for simulation binaries.
 #[global_allocator]
 static ALLOC: drcf_kernel::mempool::PoolAlloc = drcf_kernel::mempool::PoolAlloc;
 

@@ -420,7 +420,8 @@ pub struct WarmForkStats {
     /// Whether a delta capture applied onto a full-snapshot restore landed
     /// on the same `state_hash` as a cold (never-snapshotted) run.
     pub delta_identical: bool,
-    /// Compact byte size of the full snapshot at the fork point.
+    /// Compact byte size of the full snapshot at the 9/10 point, the same
+    /// cut the delta's child state sits at.
     pub full_bytes: u64,
     /// Compact byte size of the delta document fork→9/10 point.
     pub delta_bytes: u64,
@@ -535,7 +536,7 @@ pub fn warm_fork_dse() -> (HotpathMeasurement, WarmForkStats) {
         speedup: cold_secs / warm_secs,
         speedup_half: cold_secs / warm_secs_half,
         delta_identical,
-        full_bytes: snap_half.byte_len() as u64,
+        full_bytes: cold_nine.byte_len() as u64,
         delta_bytes: km.snapshot_delta_bytes,
         dirty_components: km.snapshot_dirty_components,
     };

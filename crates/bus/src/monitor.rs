@@ -37,10 +37,14 @@ pub struct BusStats {
 impl BusStats {
     /// Record a grant for `master`.
     pub fn record_grant(&mut self, master: ComponentId) {
+        self.add_grants(master, 1);
+    }
+
+    fn add_grants(&mut self, master: ComponentId, n: u64) {
         if let Some(e) = self.grants.iter_mut().find(|e| e.0 == master) {
-            e.1 += 1;
+            e.1 += n;
         } else {
-            self.grants.push((master, 1));
+            self.grants.push((master, n));
         }
     }
 
@@ -61,12 +65,27 @@ impl BusStats {
     /// Record the queue wait of a grant for `master`, in both the
     /// aggregate and the per-master histogram.
     pub fn record_wait(&mut self, master: ComponentId, wait: SimDuration) {
-        self.wait.record(wait);
+        self.record_wait_n(master, wait, 1);
+    }
+
+    /// Record `n` grants for `master`, each with queue wait `wait`: the
+    /// same state as `n` calls of [`BusStats::record_grant`] and
+    /// [`BusStats::record_wait`], in O(masters) (a no-op for `n == 0`).
+    pub fn record_grants(&mut self, master: ComponentId, wait: SimDuration, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.add_grants(master, n);
+        self.record_wait_n(master, wait, n);
+    }
+
+    fn record_wait_n(&mut self, master: ComponentId, wait: SimDuration, n: u64) {
+        self.wait.record_n(wait, n);
         if let Some(e) = self.per_master_wait.iter_mut().find(|e| e.0 == master) {
-            e.1.record(wait);
+            e.1.record_n(wait, n);
         } else {
             let mut h = LatencyHistogram::new();
-            h.record(wait);
+            h.record_n(wait, n);
             self.per_master_wait.push((master, h));
         }
     }
@@ -246,6 +265,31 @@ mod tests {
         let shown = format!("{c}");
         assert!(shown.contains("mean wait"));
         assert!(shown.contains("m1"));
+    }
+
+    #[test]
+    fn record_grants_equals_single_calls() {
+        for n in [0u64, 1, 4] {
+            let mut bulk = BusStats::default();
+            bulk.record_grant(5);
+            bulk.record_wait(5, SimDuration::ns(12));
+            let mut single = BusStats::default();
+            single.record_grant(5);
+            single.record_wait(5, SimDuration::ns(12));
+            // Master 5 is known; master 8 is seen for the first time.
+            for (m, wait) in [(5, SimDuration::ZERO), (8, SimDuration::ns(3))] {
+                bulk.record_grants(m, wait, n);
+                for _ in 0..n {
+                    single.record_grant(m);
+                    single.record_wait(m, wait);
+                }
+            }
+            assert_eq!(
+                bulk.snapshot_json().to_string(),
+                single.snapshot_json().to_string(),
+                "n={n}"
+            );
+        }
     }
 
     #[test]

@@ -22,9 +22,14 @@
 //!   that every far entry sorts after every wheel entry.
 //!
 //! An occupancy bitmap (`occ`) lets bucket advance skip empty ticks in
-//! word-sized strides, so sparse timelines don't pay a linear scan. Bucket
-//! vectors are swap-recycled (capacity is retained across rotations), the
-//! same allocation-free discipline PR 1 gave the delta buffers.
+//! word-sized strides, so sparse timelines don't pay a linear scan.
+//!
+//! Storage: an empty ring slot owns no buffer. A slot borrows a drained
+//! vector from a small pool on its first push and each rotation returns
+//! the drained `active` vector, so the queue holds at most one buffer per
+//! simultaneously occupied slot plus one, and stops allocating once pool
+//! and far heap reach the run's peak. What still allocates per event is
+//! the payload side: boxed message payloads and read-data vectors.
 //!
 //! `set_legacy(true)` collapses the queue back to the plain binary heap —
 //! kept as a reference implementation for the wheel-vs-heap determinism
@@ -91,8 +96,11 @@ pub(crate) struct EventQueue {
     /// earliest entry is at the back.
     active: Vec<TimedEntry>,
     /// Near-future ring; slot `b % NBUCKETS` holds absolute bucket `b` for
-    /// `b` in `(base, base + NBUCKETS)`.
+    /// `b` in `(base, base + NBUCKETS)`. Empty slots hold no buffer.
     buckets: Vec<Vec<TimedEntry>>,
+    /// Drained bucket vectors (empty, capacity retained) waiting to be
+    /// lent to the next slot that receives an entry.
+    pool: Vec<Vec<TimedEntry>>,
     /// Occupancy bitmap over ring slots.
     occ: [u64; OCC_WORDS],
     /// Far-future overflow: entries with bucket `>= base + NBUCKETS`.
@@ -118,6 +126,7 @@ impl EventQueue {
             base: 0,
             active: Vec::with_capacity(32),
             buckets: (0..NBUCKETS).map(|_| Vec::new()).collect(),
+            pool: Vec::new(),
             occ: [0; OCC_WORDS],
             far: BinaryHeap::with_capacity(128),
             len: 0,
@@ -137,11 +146,9 @@ impl EventQueue {
             // Drain the wheel into the heap.
             self.far.extend(self.active.drain(..));
             for slot in 0..NBUCKETS {
-                if !self.buckets[slot].is_empty() {
-                    let mut v = std::mem::take(&mut self.buckets[slot]);
-                    self.far.extend(v.drain(..));
-                    self.buckets[slot] = v;
-                }
+                let mut v = std::mem::take(&mut self.buckets[slot]);
+                self.far.extend(v.drain(..));
+                self.recycle(v);
             }
             self.occ = [0; OCC_WORDS];
         } else {
@@ -182,9 +189,29 @@ impl EventQueue {
                 at + 1 >= self.active.len() || key(&self.active[at]) > key(&self.active[at + 1])
             );
         } else {
-            let slot = (b % NBUCKETS as u64) as usize;
-            self.buckets[slot].push(entry);
-            self.occ[slot / 64] |= 1u64 << (slot % 64);
+            self.push_slot(b, entry);
+        }
+    }
+
+    /// Append to the ring slot of bucket `b`, borrowing a pooled vector if
+    /// the slot holds none yet.
+    #[inline]
+    fn push_slot(&mut self, b: u64, entry: TimedEntry) {
+        let slot = (b % NBUCKETS as u64) as usize;
+        let v = &mut self.buckets[slot];
+        if v.capacity() == 0 {
+            *v = self.pool.pop().unwrap_or_default();
+        }
+        v.push(entry);
+        self.occ[slot / 64] |= 1u64 << (slot % 64);
+    }
+
+    /// Empty `v` into the pool (capacity-less vectors are dropped).
+    #[inline]
+    fn recycle(&mut self, mut v: Vec<TimedEntry>) {
+        v.clear();
+        if v.capacity() != 0 {
+            self.pool.push(v);
         }
     }
 
@@ -241,9 +268,7 @@ impl EventQueue {
                 // Lands in the active bucket; caller sorts afterwards.
                 self.active.push(e);
             } else {
-                let slot = (b % NBUCKETS as u64) as usize;
-                self.buckets[slot].push(e);
-                self.occ[slot / 64] |= 1u64 << (slot % 64);
+                self.push_slot(b, e);
             }
         }
     }
@@ -271,7 +296,9 @@ impl EventQueue {
         if let Some(d) = self.next_occupied_distance() {
             self.base += d;
             let slot = (self.base % NBUCKETS as u64) as usize;
-            std::mem::swap(&mut self.buckets[slot], &mut self.active);
+            let next = std::mem::take(&mut self.buckets[slot]);
+            let drained = std::mem::replace(&mut self.active, next);
+            self.recycle(drained);
             self.occ[slot / 64] &= !(1u64 << (slot % 64));
             self.refill_from_far();
         } else {
@@ -364,13 +391,14 @@ impl EventQueue {
     }
 
     /// Drop every pending entry and reset the foreground counter. Bucket
-    /// capacity is retained for reuse.
+    /// capacity is retained in the pool for reuse.
     #[allow(dead_code)]
     pub fn clear(&mut self) {
         self.debug_assert_foreground_consistent();
         self.active.clear();
-        for b in &mut self.buckets {
-            b.clear();
+        for slot in 0..NBUCKETS {
+            let v = std::mem::take(&mut self.buckets[slot]);
+            self.recycle(v);
         }
         self.occ = [0; OCC_WORDS];
         self.far.clear();
@@ -695,6 +723,65 @@ mod tests {
             oracle.push(entry(t, s, false));
         }
         drain_against_oracle(&mut q, &mut oracle);
+    }
+
+    /// Vectors that own heap storage anywhere in the queue.
+    fn buffers_with_capacity(q: &EventQueue) -> usize {
+        q.buckets
+            .iter()
+            .chain(&q.pool)
+            .chain(std::iter::once(&q.active))
+            .filter(|v| v.capacity() != 0)
+            .count()
+    }
+
+    /// A sparse timeline walks the ring through far more distinct slots
+    /// than are ever occupied at once; drained vectors must be pooled and
+    /// re-lent rather than left behind in every slot the run touched.
+    #[test]
+    fn sparse_schedule_reuses_pooled_bucket_vectors() {
+        const TICK: u64 = 1 << TICK_SHIFT;
+        let horizon = TICK * NBUCKETS as u64;
+        let mut q = EventQueue::new();
+        let mut oracle = EventQueue::new();
+        oracle.set_legacy(true);
+        let mut seq = 0u64;
+        let mut push = |q: &mut EventQueue, oracle: &mut EventQueue, t: u64| {
+            q.push(entry(t, seq, false));
+            oracle.push(entry(t, seq, false));
+            seq += 1;
+        };
+        let occupied =
+            |q: &EventQueue| -> usize { q.occ.iter().map(|w| w.count_ones() as usize).sum() };
+        let mut now = 0u64;
+        let mut peak_occupied = 0usize;
+        let mut slots_touched = std::collections::HashSet::new();
+        for step in 0..3000u64 {
+            // One entry ~1.3 ticks ahead, plus an occasional far entry
+            // that later refills into a cold slot.
+            push(&mut q, &mut oracle, now + TICK + TICK * 3 / 10);
+            if step % 97 == 0 {
+                push(&mut q, &mut oracle, now + 2 * horizon + step * 13);
+            }
+            peak_occupied = peak_occupied.max(occupied(&q));
+            let e = q.pop().expect("queue holds the entry just pushed");
+            assert_eq!(oracle.pop().map(|o| (o.time, o.seq)), Some((e.time, e.seq)));
+            slots_touched.insert(q.base % NBUCKETS as u64);
+            now = e.time.0;
+        }
+        // Drain the far tail too; its refills land in cold slots.
+        while let Some(e) = q.pop() {
+            peak_occupied = peak_occupied.max(occupied(&q));
+            assert_eq!(oracle.pop().map(|o| (o.time, o.seq)), Some((e.time, e.seq)));
+        }
+        assert!(oracle.pop().is_none());
+        assert_eq!(slots_touched.len(), NBUCKETS, "every ring slot is visited");
+        assert!(q.base > 3 * NBUCKETS as u64, "the ring wraps several times");
+        let held = buffers_with_capacity(&q);
+        assert!(
+            held <= peak_occupied + 1,
+            "{held} buffers held, peak occupancy {peak_occupied}"
+        );
     }
 
     #[test]

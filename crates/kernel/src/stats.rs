@@ -114,6 +114,15 @@ impl LatencyHistogram {
 
     /// Record one latency sample.
     pub fn record(&mut self, d: SimDuration) {
+        self.record_n(d, 1);
+    }
+
+    /// Record `n` samples of the same latency in O(1); identical to `n`
+    /// calls of [`LatencyHistogram::record`] (a no-op for `n == 0`).
+    pub fn record_n(&mut self, d: SimDuration, n: u64) {
+        if n == 0 {
+            return;
+        }
         let ns = d.as_fs() / crate::time::FS_PER_NS;
         let bucket = if ns == 0 {
             0
@@ -121,9 +130,9 @@ impl LatencyHistogram {
             (64 - ns.leading_zeros()) as usize
         };
         let bucket = bucket.min(self.buckets.len() - 1);
-        self.buckets[bucket] += 1;
-        self.count += 1;
-        self.sum += d;
+        self.buckets[bucket] += n;
+        self.count += n;
+        self.sum += d * n;
         if d < self.min {
             self.min = d;
         }
@@ -406,6 +415,24 @@ mod tests {
         assert_eq!(h.mean(), SimDuration::ns(20));
         assert_eq!(h.min(), SimDuration::ns(10));
         assert_eq!(h.max(), SimDuration::ns(30));
+    }
+
+    #[test]
+    fn record_n_equals_repeated_record() {
+        for (ns, n) in [(0u64, 0u64), (0, 3), (7, 1), (40, 5), (1 << 40, 2)] {
+            let d = SimDuration::ns(ns);
+            let mut bulk = LatencyHistogram::new();
+            bulk.record(SimDuration::ns(3));
+            let mut single = bulk.clone();
+            bulk.record_n(d, n);
+            for _ in 0..n {
+                single.record(d);
+            }
+            assert!(bulk.same_as(&single), "d={ns}ns n={n}");
+        }
+        let mut empty = LatencyHistogram::new();
+        empty.record_n(SimDuration::ns(9), 0);
+        assert!(empty.same_as(&LatencyHistogram::new()));
     }
 
     #[test]

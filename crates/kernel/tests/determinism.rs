@@ -1,4 +1,4 @@
-//! Determinism regression for the zero-allocation dispatch loop.
+//! Determinism regression for the optimized dispatch loop.
 //!
 //! Builds a randomized component graph (clocks, clocked workers writing
 //! signals and a shared FIFO, a timer-driven stimulus) and runs it three
@@ -16,6 +16,10 @@
 //! All four must produce byte-identical VCD traces, identical event logs,
 //! identical per-signal change counts, and identical kernel metrics (for
 //! the counters that do not describe the internal data path itself).
+//!
+//! A second world of sparse, self-re-arming and cancelled timers runs for
+//! dozens of wheel horizons, so ring wraps, pooled bucket vectors and
+//! far-heap refills into cold slots are checked against the heap too.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -236,6 +240,100 @@ proptest! {
         let all_legacy = run_world(&clocks, &workers, &plan, horizon_ns, true, true);
         prop_assert_eq!(&fast, &heap);
         prop_assert_eq!(&fast, &all_legacy);
+    }
+}
+
+/// Timing-wheel span (`NBUCKETS` ticks of 2^20 fs each), in femtoseconds.
+const WHEEL_HORIZON_FS: u64 = 1 << 30;
+
+/// A sparse world of self-re-arming timers. Actor `a` cycles through
+/// `cycles[a].0` as its re-arm delays; on every firing it also cancels the
+/// watchdog it armed on its previous firing (if that has not fired yet) and
+/// arms a fresh cancellable one `cycles[a].1` later. Returns the ordered
+/// firing log, the final time and the dispatch counters.
+#[allow(clippy::type_complexity)]
+fn run_sparse_timers(
+    cycles: &[(Vec<u64>, u64)],
+    horizon_ns: u64,
+    heap_queue: bool,
+) -> (Vec<(u64, u64, u64)>, u64, (u64, u64, u64)) {
+    let mut sim = Simulator::new();
+    sim.set_legacy_timed_queue(heap_queue);
+    let log: Rc<RefCell<Vec<(u64, u64, u64)>>> = Rc::new(RefCell::new(Vec::new()));
+    const WATCHDOG: u64 = 1 << 63;
+    for (a, (delays, watchdog)) in cycles.iter().enumerate() {
+        let delays = delays.clone();
+        let watchdog = SimDuration::fs(*watchdog);
+        let l = log.clone();
+        let mut fired = 0u64;
+        let mut armed: Option<TimerHandle> = None;
+        sim.add(
+            &format!("actor{a}"),
+            FnComponent::new(move |api, msg| match msg.kind {
+                MsgKind::Start => api.timer_in(SimDuration::fs(delays[0]), 0),
+                MsgKind::Timer(t) if t & WATCHDOG != 0 => {
+                    l.borrow_mut().push((api.now().as_fs(), a as u64, t));
+                }
+                MsgKind::Timer(t) => {
+                    l.borrow_mut().push((api.now().as_fs(), a as u64, t));
+                    fired += 1;
+                    let next = delays[(fired as usize) % delays.len()];
+                    api.timer_in(SimDuration::fs(next), fired);
+                    if let Some(h) = armed.take() {
+                        api.cancel_timer(h);
+                    }
+                    armed = Some(api.timer_cancellable(watchdog, WATCHDOG | fired));
+                }
+                _ => {}
+            }),
+        );
+    }
+    let stop = sim.run_until(SimTime::ZERO + SimDuration::ns(horizon_ns));
+    assert!(
+        matches!(stop, Ok(StopReason::TimeLimit) | Ok(StopReason::Quiescent)),
+        "unexpected stop: {stop:?}"
+    );
+    let m = sim.metrics();
+    let events = log.borrow().clone();
+    (
+        events,
+        sim.now().as_fs(),
+        (m.dispatched, m.delta_cycles, m.timesteps),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Long sparse schedules (5–40 µs, i.e. dozens of wheel wraps) of
+    /// self-re-arming timers with delays from 0 to three wheel horizons,
+    /// plus cancellable watchdogs that are mostly revoked: pooled ring
+    /// slots, far-heap refills into cold slots and many ring wraps. The
+    /// wheel must reproduce the reference binary heap bit for bit.
+    #[test]
+    fn long_sparse_schedules_match_heap(
+        raw in proptest::collection::vec(
+            (
+                proptest::collection::vec(0u64..(3 * WHEEL_HORIZON_FS + 1), 1..6),
+                0u64..(3 * WHEEL_HORIZON_FS + 1),
+            ),
+            1..6,
+        ),
+        horizon_ns in 5_000u64..40_000,
+    ) {
+        // Every cycle must advance time, or a zero-delay loop never ends.
+        let cycles: Vec<(Vec<u64>, u64)> = raw
+            .into_iter()
+            .map(|(mut delays, watchdog)| {
+                let last = delays.len() - 1;
+                delays[last] = delays[last].max(1 << 20);
+                (delays, watchdog)
+            })
+            .collect();
+        let wheel = run_sparse_timers(&cycles, horizon_ns, false);
+        let heap = run_sparse_timers(&cycles, horizon_ns, true);
+        prop_assert!(wheel.0.len() > 4, "schedule too short to exercise the wheel");
+        prop_assert_eq!(&wheel, &heap);
     }
 }
 

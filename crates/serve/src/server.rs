@@ -240,26 +240,18 @@ pub fn process_sweep(store: &SnapshotStore, req: &SweepRequest) -> SimResult<Swe
             records,
         })
     };
-    match attempt(store) {
-        Ok(reply) => {
-            drop(lease);
-            Ok(reply)
-        }
+    let result = match attempt(store) {
+        // The entry is damaged: wipe it under the held lease (the lease
+        // file survives, so the repair stays exclusive) and simulate cold.
+        // Corruption costs time, never a wrong answer.
         Err(e) if is_poisoning(&e) => {
-            // The entry is damaged: wipe it (the lease file goes with the
-            // directory, so dropping the guard now is a no-op), re-lease
-            // the fresh entry so the repair stays exclusive, and simulate
-            // cold. Corruption costs time, never a wrong answer.
-            store.wipe(key)?;
-            drop(lease);
-            let _repair_lease = store.try_lease(key)?;
+            store.wipe(key, &lease)?;
             attempt(store)
         }
-        Err(e) => {
-            drop(lease);
-            Err(e)
-        }
-    }
+        other => other,
+    };
+    drop(lease);
+    result
 }
 
 /// One queued connection request awaiting a worker.

@@ -319,13 +319,40 @@ impl SnapshotStore {
         f.sync_all().map_err(|e| io_err("sync", &path, e))
     }
 
-    /// Delete an entry wholesale — the repair action for a poisoned entry.
-    pub fn wipe(&self, key: u64) -> SimResult<()> {
-        match fs::remove_dir_all(self.entry_dir(key)) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(io_err("wipe", &self.entry_dir(key), e)),
+    /// Delete everything in an entry except its lease file — the repair
+    /// action for a poisoned entry. The caller must hold `lease` for `key`;
+    /// the lease file survives the wipe, so no other process can start
+    /// writing the entry while the repair re-simulates it.
+    pub fn wipe(&self, key: u64, lease: &Lease) -> SimResult<()> {
+        let dir = self.entry_dir(key);
+        if lease.path.parent() != Some(dir.as_path()) {
+            return Err(SimError::new(
+                SimErrorKind::Internal,
+                format!(
+                    "lease {} does not guard entry {key:016x}",
+                    lease.path.display()
+                ),
+            ));
         }
+        let items = fs::read_dir(&dir).map_err(|e| io_err("wipe", &dir, e))?;
+        for item in items {
+            let path = item.map_err(|e| io_err("wipe", &dir, e))?.path();
+            if path == lease.path {
+                continue;
+            }
+            let removed = if path.is_dir() {
+                fs::remove_dir_all(&path)
+            } else {
+                fs::remove_file(&path)
+            };
+            match removed {
+                Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                    return Err(io_err("wipe", &path, e))
+                }
+                _ => {}
+            }
+        }
+        Ok(())
     }
 
     /// Try to take the cross-process writer lease for `key`. Returns

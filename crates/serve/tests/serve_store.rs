@@ -149,3 +149,47 @@ fn manifest_inventories_entries() {
         "{text}"
     );
 }
+
+#[test]
+fn wipe_under_a_lease_keeps_the_entry_leased() {
+    let scratch = Scratch::new("wipe-lease");
+    let store = scratch.store();
+    let req = SweepRequest::small(4_000, vec![300, 600]);
+    let key = req.key();
+    process_sweep(&store, &req).expect("cold sweep");
+    let entry = scratch.dir.join(format!("{key:016x}"));
+    let listing = || -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(&entry)
+            .expect("list entry")
+            .map(|d| {
+                d.expect("dir entry")
+                    .file_name()
+                    .to_string_lossy()
+                    .into_owned()
+            })
+            .collect();
+        names.sort();
+        names
+    };
+    assert!(listing().len() > 1, "the sweep must have written the entry");
+
+    let lease = store.try_lease(key).expect("lease").expect("entry is free");
+    store.wipe(key, &lease).expect("wipe");
+    assert_eq!(
+        listing(),
+        vec!["lease".to_string()],
+        "only the lease survives"
+    );
+    assert!(
+        store.try_lease(key).expect("second lease").is_none(),
+        "the wiped entry must stay leased"
+    );
+    drop(lease);
+    assert!(
+        store.try_lease(key).expect("third lease").is_some(),
+        "the entry is free once the lease is dropped"
+    );
+    // A lease on another entry cannot wipe this one.
+    let other = store.try_lease(key ^ 1).expect("lease").expect("free");
+    assert!(store.wipe(key, &other).is_err());
+}
